@@ -25,6 +25,8 @@ from repro.analysis.tables import format_table
 from repro.core.pathset import PathSet, PathType
 from repro.errors import ExperimentError
 from repro.experiments.scenario import World, build_world
+from repro.faults.events import LinkOutage, window_for
+from repro.faults.injector import FaultInjector
 from repro.net.links import LinkClass
 
 
@@ -92,13 +94,18 @@ def _schedule_outages(world: World, config: AvailabilityConfig) -> int:
     if not candidates:
         raise ExperimentError("no candidate links for outage injection")
     horizon = config.duration_hours * 3_600.0
-    injected = 0
+    injector = FaultInjector(world.internet)
     for _ in range(config.outages):
         link = candidates[int(rng.integers(0, len(candidates)))]
         start = float(rng.uniform(0.0, horizon))
-        world.internet.failures.schedule(link.link_id, start, config.outage_duration_s)
-        injected += 1
-    return injected
+        injector.add(
+            LinkOutage(
+                link_ids=(link.link_id,),
+                window=window_for(start, config.outage_duration_s),
+            )
+        )
+    injector.install()
+    return len(injector.events)
 
 
 def run_availability(config: AvailabilityConfig = AvailabilityConfig()) -> AvailabilityResult:

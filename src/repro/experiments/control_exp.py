@@ -42,6 +42,8 @@ from repro.control.probes import ProbeConfig, ProbeScheduler
 from repro.core.pathset import PathSet, PathType
 from repro.errors import ExperimentError
 from repro.experiments.scenario import World, build_world
+from repro.faults.events import LinkOutage, window_for
+from repro.faults.injector import FaultInjector
 from repro.net.path import RouterPath
 
 
@@ -208,10 +210,11 @@ def run_control(config: ControlExpConfig = ControlExpConfig()) -> ControlExpResu
     world = build_world(seed=config.seed, scale=config.scale)
     cronet = world.cronet()
     pathset, failed_links = _pick_pair(world, cronet)
+    injector = FaultInjector(world.internet)
+    window = window_for(config.outage_start_s, config.outage_duration_s)
     for link_id in failed_links.values():
-        world.internet.failures.schedule(
-            link_id, config.outage_start_s, config.outage_duration_s
-        )
+        injector.add(LinkOutage(link_ids=(link_id,), window=window))
+    injector.install()
 
     def scheduler_for(strategy: str) -> ProbeScheduler:
         probe_config = ProbeConfig(
@@ -237,7 +240,7 @@ def run_control(config: ControlExpConfig = ControlExpConfig()) -> ControlExpResu
     for name, policy, probed in strategies:
         # Each strategy replays the same world from t=0: the clock
         # drives every stochastic process, so rewinding it (and letting
-        # the failure schedule re-apply) reproduces identical dynamics.
+        # the fault injector re-apply) reproduces identical dynamics.
         world.internet.set_time(0.0)
         controller = OverlayController(
             internet=world.internet,

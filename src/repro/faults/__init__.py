@@ -1,11 +1,11 @@
 """Correlated fault injection: deterministic chaos for the overlay.
 
-Generalises the single-link :class:`~repro.net.failures.FailureSchedule`
-to the correlated scenarios the paper blames for the largest overlay
-wins (Sec. IV): AS-level outages, BGP route flaps, gray failures,
-congestion storms, and faults in the probe plane itself.  Every event
-is a pure function of simulated time, so a fixed seed replays the same
-chaos bit-for-bit.
+The one way a scheduled fault reaches a link, from a single link's
+outage window to the correlated scenarios the paper blames for the
+largest overlay wins (Sec. IV): AS-level outages, BGP route flaps,
+gray failures, congestion storms, and faults in the probe plane
+itself.  Every event is a pure function of simulated time, so a fixed
+seed replays the same chaos bit-for-bit.
 """
 
 from repro.faults.events import (

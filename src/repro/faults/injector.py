@@ -2,11 +2,11 @@
 
 :class:`FaultInjector` owns a set of :class:`~repro.faults.events.
 FaultEvent`\\ s and keeps every affected link's state consistent with
-the *union* of active events as the clock moves.  It installs itself as
-an Internet clock hook, running after the legacy
-:class:`~repro.net.failures.FailureSchedule` each tick, and never
-restores a link the legacy schedule still holds down — the overlap bug
-a naive per-event restore would hit.
+the *union* of active events as the clock moves; it is the only way a
+scheduled fault reaches a link.  It installs itself as an Internet
+clock hook and restores only links it failed: a link failed by hand
+stays down, and a link another injector still holds down is restored
+only by its last holder (``Internet.fault_holds``).
 
 Determinism contract: link effects are pure functions of time, so
 rewinding the clock (``set_time(0.0)``) and replaying reproduces the
@@ -29,7 +29,7 @@ from repro.faults.events import (
     RouteFlap,
     Window,
 )
-from repro.net.links import mutation_epoch
+from repro.net.links import Link, mutation_epoch
 from repro.net.world import Internet
 
 
@@ -53,18 +53,10 @@ class FaultInjector:
         self._applied_epoch = -1
         #: Effects dict of the last reconcile pass + managed-link memo.
         #: When neither the composed effects nor the global epoch moved
-        #: since that pass, the per-link loop is a provable no-op (any
-        #: legacy-schedule transition mutates a link and bumps the
-        #: epoch), so steady-state ticks skip it entirely.
+        #: since that pass, the per-link loop is a provable no-op, so
+        #: steady-state ticks skip it entirely.
         self._last_effects: dict[int, LinkEffect] | None = None
         self._managed_cache: tuple[int, set[int]] | None = None
-        #: Legacy-schedule ``down_at`` verdicts per managed link at the
-        #: last full pass.  A link both injector-failed and legacy-
-        #: scheduled can see its verdict flip *without* an epoch bump
-        #: (the schedule only mutates links it owns), so the early-out
-        #: re-checks the links the two fault sources share.
-        self._last_legacy_down: dict[int, bool] = {}
-        self._overlap_cache: tuple[tuple[int, int], set[int]] | None = None
         #: (event count, t) -> composed effects.  Effects are pure in
         #: (t, events), and campaign runs replay the same tick grid
         #: against one installed injector several times (once per
@@ -95,33 +87,42 @@ class FaultInjector:
         return self
 
     def uninstall(self) -> None:
-        """Detach from the clock, clearing every injected effect."""
+        """Detach from the clock, clearing every injected effect.
+
+        Links this injector holds down are released; a link failed by
+        hand, or still held by another injector, stays down.
+        """
         if self._installed:
             self.internet.clock_hooks.remove(self.apply)
             self._installed = False
         for link_id in self.managed_links():
             link = self.internet.links_by_id[link_id]
             link.clear_impairment()
-            if link.failed and not self.internet.failures.down_at(
-                link_id, self.internet.now
-            ):
-                link.restore()
+            self._release(link)
         self._applied.clear()
         self._applied_epoch = -1
         self._last_effects = None
-        self._last_legacy_down.clear()
 
-    def _legacy_overlap(self) -> set[int]:
-        """Managed links the legacy schedule also names (memoized)."""
-        key = (len(self.events), len(self.internet.failures.events))
-        cached = self._overlap_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        overlap = self.managed_links() & {
-            event.link_id for event in self.internet.failures.events
-        }
-        self._overlap_cache = (key, overlap)
-        return overlap
+    def _hold(self, link: Link) -> None:
+        """Keep ``link`` down on this injector's behalf."""
+        holds = self.internet.fault_holds
+        if not link.failed:
+            link.fail()
+        elif link.link_id not in holds:
+            return  # failed by hand: only its owner may restore it
+        holds.setdefault(link.link_id, set()).add(self)
+
+    def _release(self, link: Link) -> None:
+        """Drop this injector's hold; the last holder restores the link."""
+        holds = self.internet.fault_holds
+        holders = holds.get(link.link_id)
+        if holders is None or self not in holders:
+            return
+        holders.discard(self)
+        if not holders:
+            del holds[link.link_id]
+            if link.failed:
+                link.restore()
 
     def managed_links(self) -> set[int]:
         """Union of every event's affected link ids (memoized per
@@ -163,38 +164,22 @@ class FaultInjector:
         """Reconcile every managed link with the fault state at ``t``."""
         effects = self.effects_at(t)
         if mutation_epoch() == self._applied_epoch and effects == self._last_effects:
-            # Candidate no-op pass: effects unchanged, no link mutated
-            # since the last pass (a legacy-schedule transition on a
-            # link it owns bumps the epoch).  Only a verdict flip on a
-            # link both sources name can hide behind a stale epoch, so
-            # re-check just those before skipping the reconcile loop.
-            down_at = self.internet.failures.down_at
-            last = self._last_legacy_down
-            if all(
-                down_at(link_id, t) == last.get(link_id, False)
-                for link_id in self._legacy_overlap()
-            ):
-                self._check_flap_edges(t)
-                return
+            # No effect changed and no link mutated since the last
+            # pass, so the reconcile loop would change nothing.
+            self._check_flap_edges(t)
+            return
         if mutation_epoch() != self._applied_epoch:
             # Links mutated outside this injector since the last apply
-            # (legacy schedule, test code, another injector): the
-            # recorded impairments may no longer match reality, so
-            # re-write all of them.
+            # (test code, another injector): the recorded impairments
+            # may no longer match reality, so re-write all of them.
             self._applied.clear()
-        legacy_down: dict[int, bool] = {}
         for link_id in self.managed_links():
             link = self.internet.links_by_id[link_id]
             effect = effects.get(link_id, NO_EFFECT)
-            # Liveness is the union across *both* injectors: never flip
-            # a link up while a legacy-schedule window still covers t.
-            legacy = self.internet.failures.down_at(link_id, t)
-            legacy_down[link_id] = legacy
-            want_down = effect.failed or legacy
-            if want_down and not link.failed:
-                link.fail()
-            elif not want_down and link.failed:
-                link.restore()
+            if effect.failed:
+                self._hold(link)
+            else:
+                self._release(link)
             impairment = (
                 effect.extra_loss,
                 effect.extra_delay_ms,
@@ -211,7 +196,6 @@ class FaultInjector:
                 self._applied[link_id] = impairment
         self._applied_epoch = mutation_epoch()
         self._last_effects = effects
-        self._last_legacy_down = legacy_down
         self._check_flap_edges(t)
 
     def _check_flap_edges(self, t: float) -> None:

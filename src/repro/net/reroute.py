@@ -56,53 +56,60 @@ def _live_adjacency(internet: "Internet", asn: int) -> dict[int, list[tuple[int,
     return adjacency
 
 
-def live_internal_route(
-    internet: "Internet", asn: int, src_id: int, dst_id: int
-) -> tuple[tuple[int, ...], tuple[Link, ...]]:
-    """Shortest *live* intra-AS route (delay-weighted, Dijkstra).
+def shortest_routes(
+    adjacency: dict[int, list[tuple[int, Link]]], src_id: int
+) -> dict[int, tuple[tuple[int, ...], tuple[Link, ...]]]:
+    """Delay-shortest route from ``src_id`` to every reachable router.
 
-    The IGP view of re-convergence: same weights as the precomputed
-    static routes (propagation delay), but walking only non-failed
-    links.  Returns ``(router ids after the start, links in order)``
-    like ``Internet._internal_route``; raises :class:`RoutingError`
-    when the failure pattern disconnects the two routers.  Ties break
-    on router id, so the detour is deterministic.
+    Single-source Dijkstra over ``router_id -> [(neighbor, link)]``,
+    weighted by propagation delay.  Each route is ``(router ids after
+    the start, links in order)``; ``src_id`` maps to ``((), ())``.
+    Ties break on router id (heap order and neighbor order both), so
+    the tree is deterministic; the static all-pairs routes and the
+    live IGP detours are both read off it.
     """
-    if src_id == dst_id:
-        return ((), ())
-    adjacency = _live_adjacency(internet, asn)
+    routes: dict[int, tuple[tuple[int, ...], tuple[Link, ...]]] = {}
     dist: dict[int, float] = {src_id: 0.0}
     prev: dict[int, tuple[int, Link]] = {}
-    visited: set[int] = set()
     heap: list[tuple[float, int]] = [(0.0, src_id)]
     while heap:
         d, node = heapq.heappop(heap)
-        if node in visited:
+        if node in routes:
             continue
-        visited.add(node)
-        if node == dst_id:
-            break
+        if node == src_id:
+            routes[node] = ((), ())
+        else:
+            parent, link = prev[node]
+            routers, links = routes[parent]
+            routes[node] = (routers + (node,), links + (link,))
         for neighbor, link in sorted(adjacency.get(node, ()), key=lambda edge: edge[0]):
             candidate = d + link.prop_delay_ms
             if neighbor not in dist or candidate < dist[neighbor] - 1e-12:
                 dist[neighbor] = candidate
                 prev[neighbor] = (node, link)
                 heapq.heappush(heap, (candidate, neighbor))
-    if dst_id not in visited:
+    return routes
+
+
+def live_internal_route(
+    internet: "Internet", asn: int, src_id: int, dst_id: int
+) -> tuple[tuple[int, ...], tuple[Link, ...]]:
+    """Shortest *live* intra-AS route (delay-weighted, Dijkstra).
+
+    The IGP view of re-convergence: the same :func:`shortest_routes`
+    tree as the precomputed static routes, but walking only non-failed
+    links.  Returns ``(router ids after the start, links in order)``
+    like ``Internet._internal_route``; raises :class:`RoutingError`
+    when the failure pattern disconnects the two routers.
+    """
+    if src_id == dst_id:
+        return ((), ())
+    route = shortest_routes(_live_adjacency(internet, asn), src_id).get(dst_id)
+    if route is None:
         raise RoutingError(
             f"AS{asn} has no live internal route between routers {src_id} and {dst_id}"
         )
-    routers: list[int] = []
-    links: list[Link] = []
-    node = dst_id
-    while node != src_id:
-        parent, link = prev[node]
-        routers.append(node)
-        links.append(link)
-        node = parent
-    routers.reverse()
-    links.reverse()
-    return (tuple(routers), tuple(links))
+    return route
 
 
 def has_live_internal_route(

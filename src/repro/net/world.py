@@ -25,13 +25,13 @@ from repro.net.addressing import AddressPlan
 from repro.net.asn import ASKind
 from repro.net.bgp import BgpRouting
 from repro.net.congestion import BackgroundLoad, peak_hour_for_longitude
-from repro.net.failures import FailureSchedule
 from repro.net.fastpath import FastPath, fastpath_enabled
 from repro.net.links import Link, LinkClass, mutation_epoch
 from repro.net.path import RouterPath
 from repro.net.reroute import (
     dark_routers,
     live_internal_route,
+    shortest_routes,
 )
 from repro.net.routers import RouterRegistry
 from repro.net.topology import Relationship, Topology
@@ -147,10 +147,13 @@ class Internet:
         self._next_link_id = 1
         self._next_host_id = HOST_ID_BASE
         self._clock_s = 0.0
-        self.failures = FailureSchedule(links_by_id=self.links_by_id)
         #: Called with the new time after every clock move (fault
-        #: injectors hook in here, after the legacy failure schedule).
+        #: injectors hook in here).
         self.clock_hooks: list[Callable[[float], None]] = []
+        #: link id -> the fault injectors holding that link down.  An
+        #: injector restores a link only as its last holder, so a
+        #: manual ``fail()`` and other injectors' windows are respected.
+        self.fault_holds: dict[int, set[object]] = {}
         self.addresses = AddressPlan()
         self._path_cache: dict[tuple[str, str], RouterPath] = {}
         #: BGP decision keys are pure functions of topology + geography
@@ -299,27 +302,17 @@ class Internet:
         """All-pairs shortest internal routes (delay-weighted)."""
         if len(pops) <= 1:
             return
-        import networkx as nx
-
-        graph = nx.Graph()
-        for router in pops:
-            graph.add_node(router.router_id)
+        adjacency: dict[int, list[tuple[int, Link]]] = {}
         for ra in pops:
             for rb in pops:
                 link = self._internal.get((ra.router_id, rb.router_id))
-                if link is not None and ra.router_id < rb.router_id:
-                    graph.add_edge(
-                        ra.router_id, rb.router_id, weight=link.prop_delay_ms, link=link
-                    )
-        paths = dict(nx.all_pairs_dijkstra_path(graph))
-        for src_id, targets in paths.items():
-            for dst_id, node_path in targets.items():
-                if src_id == dst_id:
-                    continue
-                hops = [
-                    self._internal[(u, v)] for u, v in zip(node_path, node_path[1:])
-                ]
-                self._internal_routes[(src_id, dst_id)] = (tuple(node_path[1:]), tuple(hops))
+                if link is not None:
+                    adjacency.setdefault(ra.router_id, []).append((rb.router_id, link))
+        for router in pops:
+            routes = shortest_routes(adjacency, router.router_id)
+            for dst_id, route in routes.items():
+                if dst_id != router.router_id:
+                    self._internal_routes[(router.router_id, dst_id)] = route
 
     def _classify_relation(self, a: int, b: int, rel: Relationship) -> LinkClass:
         """Map an AS relationship onto a physical link class."""
@@ -428,11 +421,10 @@ class Internet:
         return self._clock_s
 
     def advance(self, seconds: float) -> float:
-        """Move the clock forward and apply any scheduled failures."""
+        """Move the clock forward and run every clock hook."""
         if seconds < 0:
             raise ConfigError(f"cannot advance time by {seconds}")
         self._clock_s += seconds
-        self.failures.apply(self._clock_s)
         for hook in self.clock_hooks:
             hook(self._clock_s)
         return self._clock_s
@@ -446,15 +438,14 @@ class Internet:
         mid-flap, after the injector invalidated and re-resolved) must
         not survive into the replayed history.  Clock hooks are then
         re-applied at ``t`` as usual; hooks must therefore be pure
-        functions of time (both built-in appliers are), not
-        accumulators that assume monotonic ticks.
+        functions of time (:class:`~repro.faults.injector.FaultInjector`
+        is), not accumulators that assume monotonic ticks.
         """
         if t < 0:
             raise ConfigError(f"time must be >= 0, got {t}")
         if t < self._clock_s:
             self.invalidate_path_cache()
         self._clock_s = t
-        self.failures.apply(self._clock_s)
         for hook in self.clock_hooks:
             hook(self._clock_s)
         return self._clock_s

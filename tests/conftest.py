@@ -16,13 +16,8 @@ def small_topology():
     return generate_topology(TopologyConfig.small(), streams)
 
 
-@pytest.fixture()
-def small_internet():
-    """A freshly built small Internet with a cloud AS and three hosts.
-
-    Function-scoped because tests mutate link state (failures) and
-    attach hosts.
-    """
+def build_small_internet() -> Internet:
+    """A small Internet with a cloud AS and three hosts."""
     streams = RandomStreams(seed=1234)
     topo = generate_topology(TopologyConfig.small(), streams)
     t1s = [a.asn for a in topo.ases_of_kind(ASKind.TIER1)]
@@ -40,3 +35,23 @@ def small_internet():
     net.attach_host("vm", cloud.asn, kind="cloud_vm")
     net.cloud_asn = cloud.asn  # convenience for tests
     return net
+
+
+@pytest.fixture()
+def small_internet():
+    """A freshly built :func:`build_small_internet` world.
+
+    Function-scoped because tests mutate link state (failures) and
+    attach hosts.
+    """
+    return build_small_internet()
+
+
+@pytest.fixture(scope="module")
+def module_internet():
+    """One :func:`build_small_internet` world shared by a test module.
+
+    For property tests that run many examples: each example must leave
+    link state and clock hooks as it found them.
+    """
+    return build_small_internet()

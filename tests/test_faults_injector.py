@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.faults.events import (
@@ -15,6 +16,7 @@ from repro.faults.events import (
     Window,
 )
 from repro.faults.injector import FaultInjector, ProbeFaultModel
+from repro.net.links import mutation_epoch
 from repro.rand import RandomStreams
 
 
@@ -107,20 +109,142 @@ class TestInjection:
         assert states() == states()
 
 
-class TestLegacyScheduleOverlap:
-    def test_injector_never_restores_legacy_held_link(self, small_internet):
-        # Legacy schedule holds [100, 300); the injected event ends at
-        # 200 — the link must stay down until *both* windows clear.
+class TestOverlappingInjectors:
+    """Liveness is the union of windows across events *and* injectors."""
+
+    def test_two_events_in_one_injector(self, small_internet):
+        # [100, 300) and [150, 200): the short event's end must not
+        # restore the link while the long one still covers the instant.
         link = any_link(small_internet)
-        small_internet.failures.schedule(link.link_id, 100.0, 200.0)
         injector = FaultInjector(small_internet)
+        injector.add(LinkOutage(link_ids=(link.link_id,), window=Window(100.0, 200.0)))
         injector.add(LinkOutage(link_ids=(link.link_id,), window=Window(150.0, 50.0)))
         injector.install()
-        small_internet.set_time(175.0)
-        assert link.failed
-        small_internet.set_time(250.0)  # injected event over, legacy still active
-        assert link.failed
-        small_internet.set_time(350.0)
+        for t, down in ((175.0, True), (250.0, True), (350.0, False)):
+            small_internet.set_time(t)
+            assert link.failed is down, f"at t={t}"
+
+    @pytest.mark.parametrize(
+        "windows",
+        [
+            ((100.0, 200.0), (150.0, 50.0)),
+            ((150.0, 50.0), (100.0, 200.0)),
+            ((100.0, 100.0), (150.0, 150.0)),
+            ((150.0, 150.0), (100.0, 100.0)),
+        ],
+        ids=["long-first", "short-first", "early-first", "late-first"],
+    )
+    def test_injector_never_restores_link_another_holds(self, small_internet, windows):
+        # Two injectors, one window each, union [100, 300): whichever
+        # clock hook runs first, the link stays down until both clear.
+        link = any_link(small_internet)
+        injectors = []
+        for start_s, duration_s in windows:
+            injector = FaultInjector(small_internet)
+            injector.add(
+                LinkOutage(link_ids=(link.link_id,), window=Window(start_s, duration_s))
+            )
+            injectors.append(injector.install())
+        for t in (50.0, 120.0, 175.0, 225.0, 275.0, 325.0, 125.0, 260.0, 0.0):
+            small_internet.set_time(t)
+            assert link.failed is (100.0 <= t < 300.0), f"at t={t}"
+        small_internet.set_time(250.0)
+        injectors[0].uninstall()
+        assert link.failed is (windows[1][0] + windows[1][1] > 250.0)
+        injectors[1].uninstall()
+        assert not link.failed
+
+
+class TestFaultPathProperties:
+    """Hypothesis properties of the single fault path."""
+
+    @staticmethod
+    def snapshot(internet, t):
+        """Everything an injector could perturb, at instant ``t``."""
+        internet.set_time(t)
+        links = tuple(
+            (
+                link.failed,
+                link.extra_loss,
+                link.extra_delay_ms,
+                link.util_surge,
+                link.bulk_extra_loss,
+            )
+            for link in internet.links_by_id.values()
+        )
+        metrics = tuple(
+            internet.resolve_path(src, dst).metrics(t)
+            for src, dst in (("client", "server"), ("client", "vm"), ("vm", "server"))
+        )
+        return links, mutation_epoch(), metrics
+
+    @given(
+        ticks=st.lists(st.integers(0, 1_440), min_size=1, max_size=12),
+        manual=st.sets(st.integers(0, 40), max_size=4),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_empty_injector_is_identity(self, module_internet, ticks, manual):
+        internet = module_internet
+        grid = [5.0 * tick for tick in ticks]
+        links = list(internet.links_by_id.values())
+        failed = [links[i] for i in sorted(manual)]
+        for link in failed:
+            link.fail()
+        injector = FaultInjector(internet)
+        try:
+            bare = [self.snapshot(internet, t) for t in grid]
+            injector.install()
+            hooked = [self.snapshot(internet, t) for t in grid]
+            injector.uninstall()
+            after = [self.snapshot(internet, t) for t in grid]
+        finally:
+            injector.uninstall()
+            for link in failed:
+                link.restore()
+            internet.set_time(0.0)
+        assert hooked == bare
+        assert after == bare
+
+    @given(
+        windows=st.lists(
+            st.tuples(
+                st.integers(0, 40),  # start, in 10 s units
+                st.integers(1, 15),  # duration, in 10 s units
+                st.integers(0, 1),  # which of two injectors owns it
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        instants=st.lists(st.integers(0, 120), min_size=1, max_size=25),
+    )
+    @example(windows=[(10, 10, 0), (15, 15, 0)], instants=[9, 24, 50, 60])
+    @example(windows=[(10, 10, 0), (20, 10, 0)], instants=[40, 50, 59, 60])
+    @example(windows=[(10, 20, 0), (15, 5, 1)], instants=[35, 50, 70])
+    @example(windows=[(15, 5, 0), (10, 20, 1)], instants=[35, 50, 70])
+    @settings(max_examples=60, deadline=None)
+    def test_liveness_is_union_of_windows(self, module_internet, windows, instants):
+        internet = module_internet
+        link = next(iter(internet.links_by_id.values()))
+        injectors = [FaultInjector(internet), FaultInjector(internet)]
+        spans = []
+        for start, duration, owner in windows:
+            window = Window(10.0 * start, 10.0 * duration)
+            injectors[owner].add(LinkOutage(link_ids=(link.link_id,), window=window))
+            spans.append((window.start_s, window.end_s))
+        # Every window edge, then the drawn instants in drawn order
+        # (rewinds included: the fault state is a function of time).
+        edges = sorted({t for span in spans for t in span})
+        try:
+            for injector in injectors:
+                injector.install()
+            for t in edges + [5.0 * i for i in instants]:
+                internet.set_time(t)
+                expected = any(lo <= t < hi for lo, hi in spans)
+                assert link.failed is expected, f"at t={t}"
+        finally:
+            for injector in injectors:
+                injector.uninstall()
+            internet.set_time(0.0)
         assert not link.failed
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import RoutingError
+from repro.experiments.scenario import build_world
 from repro.faults.events import PopOutage, Window
 from repro.net import Internet, Relationship, Topology
 from repro.net.asn import ASKind, AutonomousSystem
@@ -174,15 +175,34 @@ class TestLiveInternalRoute:
             if len(asys.pop_cities) >= 3
         )
 
+    @staticmethod
+    def assert_live_equals_static(internet):
+        # Same routers, same links, every ordered pair of every
+        # multi-PoP AS: this pins the router-id tie-break the static
+        # all-pairs routes share with the live Dijkstra.
+        pairs = 0
+        for asn, asys in sorted(internet.topology.ases.items()):
+            if len(asys.pop_cities) < 2:
+                continue
+            ids = [router.router_id for router in internet.routers.of_as(asn)]
+            for a in ids:
+                for b in ids:
+                    if a == b:
+                        continue
+                    static = internet._internal_route(asn, a, b)
+                    live = live_internal_route(internet, asn, a, b)
+                    assert live[0] == static[0], (asn, a, b)
+                    assert [l.link_id for l in live[1]] == [
+                        l.link_id for l in static[1]
+                    ], (asn, a, b)
+                    pairs += 1
+        assert pairs > 0
+
     def test_matches_static_route_when_clean(self, small_internet):
-        asn = self.multi_pop_asn(small_internet)
-        pops = small_internet.routers.of_as(asn)
-        a, b = pops[0].router_id, pops[-1].router_id
-        static = small_internet._internal_route(asn, a, b)
-        live = live_internal_route(small_internet, asn, a, b)
-        assert sum(l.prop_delay_ms for l in live[1]) == pytest.approx(
-            sum(l.prop_delay_ms for l in static[1])
-        )
+        self.assert_live_equals_static(small_internet)
+
+    def test_matches_static_route_when_clean_in_built_world(self):
+        self.assert_live_equals_static(build_world(seed=7).internet)
 
     def test_detours_around_failed_backbone_link(self, small_internet):
         asn = self.multi_pop_asn(small_internet)

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.errors import ConfigError, RoutingError
+from repro.faults.events import LinkOutage, window_for
+from repro.faults.injector import FaultInjector
 from repro.net import Internet, LinkClass
 from repro.net.world import HOST_ID_BASE
 
@@ -162,7 +170,11 @@ class TestClockAndFailures:
     def test_scheduled_failure_kills_and_restores_path(self, small_internet):
         path = small_internet.resolve_path("client", "server")
         victim = path.links[len(path.links) // 2]
-        small_internet.failures.schedule(victim.link_id, start_s=100.0, duration_s=50.0)
+        injector = FaultInjector(small_internet)
+        injector.add(
+            LinkOutage(link_ids=(victim.link_id,), window=window_for(100.0, 50.0))
+        )
+        injector.install()
 
         small_internet.set_time(99.0)
         assert path.is_alive()
@@ -174,4 +186,23 @@ class TestClockAndFailures:
 
     def test_failure_on_unknown_link_rejected(self, small_internet):
         with pytest.raises(ConfigError):
-            small_internet.failures.schedule(999_999, start_s=0.0, duration_s=1.0)
+            FaultInjector(small_internet).add(
+                LinkOutage(link_ids=(999_999,), window=window_for(0.0, 1.0))
+            )
+
+
+class TestDependencies:
+    def test_build_world_never_imports_networkx(self):
+        # Internal routes come from repro.net.reroute's Dijkstra; numpy
+        # is the only runtime dependency.
+        src = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH")))
+        ))
+        code = (
+            "import sys\n"
+            "from repro import build_world\n"
+            "build_world(seed=7)\n"
+            "assert 'networkx' not in sys.modules, 'build_world imported networkx'\n"
+        )
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=300)
